@@ -1,0 +1,7 @@
+"""End-to-end and per-layer benchmark for the DB-LSH reproduction.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md`` for
+the workloads, the metrics and which layer metric should move which
+end-to-end metric.
+"""
