@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import DBLSH
+from repro.core.dblsh import MIN_PARALLEL_BUDGET
 from repro.data.generators import gaussian_mixture
 
 BACKENDS = ["rstar", "rstar-insert", "kdtree", "grid"]
@@ -66,6 +67,22 @@ class TestBatchEquivalence:
         threaded = index.query_batch(queries, k=8, workers=4)
         for a, b in zip(serial, threaded):
             _assert_same_result(a, b)
+
+    def test_node_visits_counted_per_query(self, workload):
+        # The budget 2tL + k clears MIN_PARALLEL_BUDGET, so workers=2
+        # really runs two threads walking the same trees concurrently;
+        # each query's own count must still match its serial query().
+        data, queries = workload
+        index = DBLSH(l_spaces=3, k_per_space=5, t=200, seed=3,
+                      auto_initial_radius=True).fit(data)
+        assert index.params.budget(8) >= MIN_PARALLEL_BUDGET
+        sequential = [index.query(q, k=8) for q in queries]
+        threaded = index.query_batch(queries, k=8, workers=2)
+        for a, b in zip(sequential, threaded):
+            _assert_same_result(a, b)
+            assert a.stats.index_node_visits > 0
+            assert a.stats.index_node_visits == b.stats.index_node_visits
+        assert index.range_query(queries[0], 1.0, k=8).stats.index_node_visits > 0
 
     def test_batch_with_budget_truncation(self, workload):
         # Tiny budget: results depend on candidate order, the strictest

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.flat import FlatRStarTree, concat_ranges
-from repro.index.rstar import RStarTree
+from repro.index.rstar import RStarTree, RTreeStats
+from repro.index.str_build import build_flat_str
 
 
 def _legacy_stream(tree, w_low, w_high):
@@ -145,3 +146,80 @@ class TestTraversalEquivalence:
         assert np.array_equal(_legacy_stream(tree, lo, hi),
                               flat.window_query(lo, hi))
         assert flat.window_count(lo, hi) == tree.window_count(lo, hi)
+
+
+def _brute_force(points, lo, hi):
+    """Ids of the points inside the inclusive box ``[lo, hi]``."""
+    return np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
+
+
+class TestBitmaskKernel:
+    """The packed-bitmask window test against an inclusive brute force.
+
+    Points and window bounds sit on an integer lattice, so many points lie
+    exactly on a window face and zero-width windows hit points: the
+    negated ``>`` / ``<`` comparisons must keep the faces inclusive.  Odd
+    and even dimensions exercise the ``uint16`` and ``uint32`` row views.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 400),
+        dim=st.integers(1, 6),
+        built=st.sampled_from(["str", "insert"]),
+        first_chunk=st.sampled_from([1, 10**6, None]),
+        width=st.integers(0, 3),
+    )
+    def test_matches_brute_force(self, seed, n, dim, built, first_chunk, width):
+        gen = np.random.default_rng(seed)
+        points = gen.integers(-3, 4, size=(n, dim)).astype(np.float64)
+        if built == "str":
+            reference = RStarTree.bulk_load(points, max_entries=6)
+            flat = build_flat_str(points, max_entries=6)
+        else:  # insertion splits leave leaves of uneven sizes
+            reference = RStarTree(dim, max_entries=6)
+            for i, p in enumerate(points):
+                reference.insert(i, p)
+            flat = reference.freeze()
+        for _ in range(4):
+            lo = gen.integers(-4, 4, size=dim).astype(np.float64)
+            hi = lo + width
+            chunks = list(flat.window_query_iter(lo, hi, first_chunk=first_chunk))
+            got = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+            assert all(0 < len(c) <= flat.chunk_points for c in chunks)
+            assert np.array_equal(np.sort(got), _brute_force(points, lo, hi))
+            # Same candidate order as the pointer traversal, not just the set.
+            assert np.array_equal(got, _legacy_stream(reference, lo, hi))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_non_finite_bounds_raise(self, rng, bad, side):
+        flat = build_flat_str(rng.standard_normal((200, 3)), max_entries=8)
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        (lo if side == "low" else hi)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            list(flat.window_query_iter(lo, hi))
+        with pytest.raises(ValueError, match="finite"):
+            flat.window_query(lo, hi)
+
+    def test_walk_counts_match_tree_stats(self, rng):
+        points = rng.standard_normal((3000, 4))
+        flat = build_flat_str(points, max_entries=16)
+        lo, hi = np.full(4, -0.5), np.full(4, 0.5)
+        walk = RTreeStats()
+        ids = np.concatenate(list(flat.window_query_iter(lo, hi, counts=walk)))
+        assert walk == flat.stats
+        assert walk.node_visits > 0 and walk.leaf_visits > 0
+        assert walk.points_scanned >= ids.shape[0] > 0
+
+    def test_first_chunk_counts_hit_leaf_points(self, rng):
+        # Chunks are sized in points of leaves whose MBR meets the window:
+        # a first chunk of one point scans exactly one point.
+        points = rng.standard_normal((2000, 4))
+        flat = build_flat_str(points, max_entries=16)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        walk = RTreeStats()
+        first = next(flat.window_query_iter(lo, hi, first_chunk=1, counts=walk))
+        assert first.shape[0] == 1
+        assert walk.points_scanned == 1
